@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/distmat"
+	"repro/internal/localmm"
 	"repro/internal/mpi"
 	"repro/internal/spmat"
 )
@@ -123,6 +124,9 @@ func (p *Proc) BatchedSUMMA3D(hook BatchHook) (*Result, error) {
 				if pruned.Cols != csc.Cols {
 					return nil, fmt.Errorf("core: batch hook changed column count (%d → %d)", csc.Cols, pruned.Cols)
 				}
+				// The result promises sorted columns; restore the order a
+				// hook may have given up.
+				localmm.SortColumns(pruned)
 				cPiece = pruned
 			}
 		}

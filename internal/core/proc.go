@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/costmodel"
 	"repro/internal/distmat"
@@ -103,23 +105,82 @@ type Result struct {
 // hook to prune or stream out batches (HipMCL, Sec. V-C).
 type BatchHook func(batch int, globalCols []int32, c *spmat.CSC) *spmat.CSC
 
-// AssembleResults reconstructs the global C from every rank's Result. Test
-// and verification helper (a real application consumes batches in place).
+// AssembleResults writes the global C from every rank's Result. It runs on
+// every distributed multiply (Multiply, and through it the public Cluster
+// and the service) after the ranks finish. Nonzeros are counted per global
+// column over all ranks, prefix-summed into ColPtr, and each rank's column
+// slices are copied in ascending RowOffset order, so the result has sorted
+// columns and exact-size arrays with no sort and no coordinate list. It
+// returns an error when two results cover overlapping row ranges of one
+// global column (their entries would otherwise be summed or interleaved),
+// when a column or row lies outside rows×cols or outside its result's
+// block, or when rows do not strictly increase within a result's column.
 func AssembleResults(results []*Result, rows, cols int32) (*spmat.CSC, error) {
-	var ts []spmat.Triple
+	rs := make([]*Result, 0, len(results))
 	for _, r := range results {
 		if r == nil {
 			continue
 		}
-		for x := int32(0); x < r.C.Cols; x++ {
-			rws, vls := r.C.Column(x)
-			gc := r.GlobalCols[x]
-			for q := range rws {
-				ts = append(ts, spmat.Triple{Row: rws[q] + r.RowOffset, Col: gc, Val: vls[q]})
+		if int(r.C.Cols) != len(r.GlobalCols) {
+			return nil, fmt.Errorf("core: result has %d columns but %d global column indices", r.C.Cols, len(r.GlobalCols))
+		}
+		if r.RowOffset < 0 || int64(r.RowOffset)+int64(r.C.Rows) > int64(rows) {
+			return nil, fmt.Errorf("core: result rows [%d,%d) outside %d rows", r.RowOffset, int64(r.RowOffset)+int64(r.C.Rows), rows)
+		}
+		rs = append(rs, r)
+	}
+	// Ascending row ranges; an empty range sorts before a non-empty one
+	// starting at the same row.
+	slices.SortStableFunc(rs, func(x, y *Result) int {
+		return cmp.Or(cmp.Compare(x.RowOffset, y.RowOffset), cmp.Compare(x.C.Rows, y.C.Rows))
+	})
+
+	// Count per global column, rejecting overlapping (row range, column)
+	// ownership: in ascending RowOffset order, a result must start at or
+	// after the end of the previous owner of each of its columns.
+	c := &spmat.CSC{Rows: rows, Cols: cols, ColPtr: make([]int64, cols+1), SortedCols: true}
+	rowEnd := make([]int32, cols)
+	for _, r := range rs {
+		for x, gc := range r.GlobalCols {
+			if gc < 0 || gc >= cols {
+				return nil, fmt.Errorf("core: global column %d outside %d columns", gc, cols)
 			}
+			if r.RowOffset < rowEnd[gc] {
+				return nil, fmt.Errorf("core: two results cover rows near %d of global column %d", r.RowOffset, gc)
+			}
+			rowEnd[gc] = r.RowOffset + r.C.Rows
+			c.ColPtr[gc+1] += r.C.ColNNZ(int32(x))
 		}
 	}
-	return spmat.FromTriples(rows, cols, ts, nil)
+	for j := int32(0); j < cols; j++ {
+		c.ColPtr[j+1] += c.ColPtr[j]
+	}
+	nnz := c.ColPtr[cols]
+	c.RowIdx = make([]int32, nnz)
+	c.Val = make([]float64, nnz)
+
+	next := append([]int64(nil), c.ColPtr[:cols]...)
+	for _, r := range rs {
+		for x, gc := range r.GlobalCols {
+			rws, vls := r.C.Column(int32(x))
+			if len(rws) == 0 {
+				continue
+			}
+			if rws[0] < 0 || rws[len(rws)-1] >= r.C.Rows {
+				return nil, fmt.Errorf("core: result row outside its %d rows in global column %d", r.C.Rows, gc)
+			}
+			p := next[gc]
+			for q, row := range rws {
+				if q > 0 && row <= rws[q-1] {
+					return nil, fmt.Errorf("core: rows of global column %d not strictly increasing in a result", gc)
+				}
+				c.RowIdx[p+int64(q)] = row + r.RowOffset
+			}
+			copy(c.Val[p:], vls)
+			next[gc] = p + int64(len(rws))
+		}
+	}
+	return c, nil
 }
 
 // stageKernel returns the Local-Multiply kernel for one stage. With

@@ -11,6 +11,20 @@
 // All kernels are column-Gustavson: C(:,j) = Σ_{i : B(i,j)≠0} A(:,i)·B(i,j),
 // and all accept an arbitrary semiring.
 //
+// # Output path
+//
+// Every kernel and merger returns entry arrays sized exactly to the output's
+// nonzeros. The serial forms drain each column into a pooled worker's
+// staging scratch, reused together with its hash accumulator across columns
+// and calls, and copy the whole output once into exact-size RowIdx/Val; the
+// threaded and format-generic forms size their single allocation from the
+// symbolic counts. Columns that must come out sorted use one typed sort
+// (sortColumnSlices; SortColumns applies it to a whole matrix): insertion
+// sort for short columns, slices.Sort on packed uint64(row)<<32 | position
+// keys followed by one gather of the values for long ones. Rows within an
+// output column are distinct, so the sorted order — and every product — is
+// the same as any other sort's.
+//
 // # Kernel and merger selection
 //
 // The Kernel and Merger enums name every generation for callers

@@ -121,8 +121,9 @@ func (h *hashAccum) add(r int32, v float64, addFn func(a, b float64) float64) {
 	}
 }
 
-// drainInto appends the accumulated (row, value) pairs to the output slices
-// in insertion order (unsorted) and returns the extended slices.
+// drainInto appends the accumulated (row, value) pairs to the slices in
+// insertion order (unsorted) and returns the extended slices. The serial
+// kernels drain into their worker's reused output staging.
 func (h *hashAccum) drainInto(rows []int32, vals []float64) ([]int32, []float64) {
 	for _, s := range h.occupied {
 		rows = append(rows, h.rows[s])
@@ -170,10 +171,11 @@ func hashSpGEMM(a, b *spmat.CSC, sr *semiring.Semiring, sortCols bool) *spmat.CS
 		Rows:       a.Rows,
 		Cols:       b.Cols,
 		ColPtr:     make([]int64, b.Cols+1),
-		SortedCols: false,
+		SortedCols: sortCols,
 	}
 	plusTimes := sr.IsPlusTimes()
-	var acc *hashAccum
+	w := getWorker()
+	defer putWorker(w)
 	for j := int32(0); j < b.Cols; j++ {
 		// Upper bound on distinct output rows in this column: its flops.
 		var colFlops int64
@@ -181,22 +183,18 @@ func hashSpGEMM(a, b *spmat.CSC, sr *semiring.Semiring, sortCols bool) *spmat.CS
 		for _, i := range bRows {
 			colFlops += a.ColNNZ(i)
 		}
-		if colFlops == 0 {
-			c.ColPtr[j+1] = int64(len(c.RowIdx))
-			continue
+		if colFlops > 0 {
+			acc := w.accFor(colFlops)
+			hashAccumulateColumn(acc, a, bRows, bVals, sr, plusTimes)
+			lo := len(w.rows)
+			w.rows, w.vals = acc.drainInto(w.rows, w.vals)
+			if sortCols {
+				sortColumnSlices(w.rows[lo:], w.vals[lo:], &w.sort)
+			}
 		}
-		if acc == nil || 2*colFlops > int64(len(acc.rows)) {
-			acc = newHashAccum(colFlops)
-		} else {
-			acc.reset()
-		}
-		hashAccumulateColumn(acc, a, bRows, bVals, sr, plusTimes)
-		c.RowIdx, c.Val = acc.drainInto(c.RowIdx, c.Val)
-		c.ColPtr[j+1] = int64(len(c.RowIdx))
+		c.ColPtr[j+1] = int64(len(w.rows))
 	}
-	if sortCols {
-		c.SortColumns()
-	}
+	w.outputTo(c)
 	return c
 }
 

@@ -89,11 +89,13 @@ func HeapSpGEMM(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
 		SortedCols: true,
 	}
 	plusTimes := sr.IsPlusTimes()
-	var h rowHeap
+	w := getWorker()
+	defer putWorker(w)
 	for j := int32(0); j < b.Cols; j++ {
 		bRows, bVals := b.Column(j)
-		c.RowIdx, c.Val = heapMulColumn(&h, a, bRows, bVals, sr, plusTimes, c.RowIdx, c.Val)
-		c.ColPtr[j+1] = int64(len(c.RowIdx))
+		w.rows, w.vals = heapMulColumn(&w.heap, a, bRows, bVals, sr, plusTimes, w.rows, w.vals)
+		c.ColPtr[j+1] = int64(len(w.rows))
 	}
+	w.outputTo(c)
 	return c
 }

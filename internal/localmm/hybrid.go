@@ -28,35 +28,30 @@ func HybridSpGEMM(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
 		SortedCols: true,
 	}
 	plusTimes := sr.IsPlusTimes()
-	var h rowHeap
-	var acc *hashAccum
+	w := getWorker()
+	defer putWorker(w)
 	for j := int32(0); j < b.Cols; j++ {
 		bRows, bVals := b.Column(j)
 		var colFlops int64
 		for _, i := range bRows {
 			colFlops += a.ColNNZ(i)
 		}
-		if colFlops == 0 {
-			c.ColPtr[j+1] = int64(len(c.RowIdx))
-			continue
-		}
-		if colFlops <= hybridHeapThreshold {
+		switch {
+		case colFlops == 0:
+		case colFlops <= hybridHeapThreshold:
 			// Heap path: multiway merge, output already sorted.
-			c.RowIdx, c.Val = heapMulColumn(&h, a, bRows, bVals, sr, plusTimes, c.RowIdx, c.Val)
-		} else {
+			w.rows, w.vals = heapMulColumn(&w.heap, a, bRows, bVals, sr, plusTimes, w.rows, w.vals)
+		default:
 			// Hash path, followed by the per-column sort the hybrid kernel
 			// always performed.
-			if acc == nil || 2*colFlops > int64(len(acc.rows)) {
-				acc = newHashAccum(colFlops)
-			} else {
-				acc.reset()
-			}
+			acc := w.accFor(colFlops)
 			hashAccumulateColumn(acc, a, bRows, bVals, sr, plusTimes)
-			lo := int64(len(c.RowIdx))
-			c.RowIdx, c.Val = acc.drainInto(c.RowIdx, c.Val)
-			sortColumnSlices(c.RowIdx[lo:], c.Val[lo:])
+			lo := len(w.rows)
+			w.rows, w.vals = acc.drainInto(w.rows, w.vals)
+			sortColumnSlices(w.rows[lo:], w.vals[lo:], &w.sort)
 		}
-		c.ColPtr[j+1] = int64(len(c.RowIdx))
+		c.ColPtr[j+1] = int64(len(w.rows))
 	}
+	w.outputTo(c)
 	return c
 }

@@ -230,7 +230,7 @@ func MulMat(k Kernel, a, b spmat.Matrix, sr *semiring.Semiring, threads int) spm
 				hashAccumulateColumnMat(acc, &cur, bRefs[p].rows, bRefs[p].vals, sr, plusTimes)
 				acc.drainAt(dstRows, dstVals)
 				if sortedOut {
-					sortColumnSlices(dstRows, dstVals)
+					sortColumnSlices(dstRows, dstVals, &w.sort)
 				}
 			}
 		}
@@ -510,7 +510,7 @@ func MergeMat(mg Merger, mats []spmat.Matrix, sr *semiring.Semiring, sortOutput 
 			}
 			acc.drainAt(dstRows, dstVals)
 			if sortOutput {
-				sortColumnSlices(dstRows, dstVals)
+				sortColumnSlices(dstRows, dstVals, &w.sort)
 			}
 		}
 	})

@@ -39,33 +39,28 @@ func HashMerge(mats []*spmat.CSC, sr *semiring.Semiring, sortOutput bool) *spmat
 		Rows:       rows,
 		Cols:       cols,
 		ColPtr:     make([]int64, cols+1),
-		SortedCols: false,
+		SortedCols: sortOutput,
 	}
 	plusTimes := sr.IsPlusTimes()
-	var acc *hashAccum
+	w := getWorker()
+	defer putWorker(w)
 	for j := int32(0); j < cols; j++ {
 		var colNNZ int64
 		for _, m := range mats {
 			colNNZ += m.ColNNZ(j)
 		}
-		if colNNZ == 0 {
-			c.ColPtr[j+1] = int64(len(c.RowIdx))
-			continue
+		if colNNZ > 0 {
+			acc := w.accFor(colNNZ)
+			hashAccumulateMergeColumn(acc, mats, j, sr, plusTimes)
+			lo := len(w.rows)
+			w.rows, w.vals = acc.drainInto(w.rows, w.vals)
+			if sortOutput {
+				sortColumnSlices(w.rows[lo:], w.vals[lo:], &w.sort)
+			}
 		}
-		if acc == nil || 2*colNNZ > int64(len(acc.rows)) {
-			acc = newHashAccum(colNNZ)
-		} else {
-			acc.reset()
-		}
-		hashAccumulateMergeColumn(acc, mats, j, sr, plusTimes)
-		lo := int64(len(c.RowIdx))
-		c.RowIdx, c.Val = acc.drainInto(c.RowIdx, c.Val)
-		if sortOutput {
-			sortColumnSlices(c.RowIdx[lo:], c.Val[lo:])
-		}
-		c.ColPtr[j+1] = int64(len(c.RowIdx))
+		c.ColPtr[j+1] = int64(len(w.rows))
 	}
-	c.SortedCols = sortOutput
+	w.outputTo(c)
 	return c
 }
 
@@ -110,11 +105,13 @@ func HeapMerge(mats []*spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
 		SortedCols: true,
 	}
 	plusTimes := sr.IsPlusTimes()
-	var h rowHeap
+	w := getWorker()
+	defer putWorker(w)
 	for j := int32(0); j < cols; j++ {
-		c.RowIdx, c.Val = heapMergeColumn(&h, sorted, j, sr, plusTimes, c.RowIdx, c.Val)
-		c.ColPtr[j+1] = int64(len(c.RowIdx))
+		w.rows, w.vals = heapMergeColumn(&w.heap, sorted, j, sr, plusTimes, w.rows, w.vals)
+		c.ColPtr[j+1] = int64(len(w.rows))
 	}
+	w.outputTo(c)
 	return c
 }
 

@@ -34,22 +34,48 @@ import (
 
 // mmWorker is one goroutine's reusable scratch state: a hash accumulator for
 // numeric passes, a row set for symbolic passes, a heap for the heap-based
-// kernels, and the column-view scratch of the format-generic heap kernel.
-// Workers are pooled so repeated SUMMA stages reuse warm buffers instead of
-// reallocating per call.
+// kernels, the column-view scratch of the format-generic heap kernel, the
+// packed-key column sort's scratch, and the output staging of the serial
+// kernels. Workers are pooled so repeated SUMMA stages reuse warm buffers
+// instead of reallocating per call.
 type mmWorker struct {
 	acc    *hashAccum
 	set    *rowSet
 	heap   rowHeap
 	aRowsV [][]int32
 	aValsV [][]float64
+	sort   sortScratch
+	// rows and vals stage a serial kernel's whole output, column after
+	// column; the kernel then copies it once into exact-size arrays
+	// (outputTo), so returned matrices carry no append slack.
+	rows []int32
+	vals []float64
 }
 
 var workerPool = sync.Pool{New: func() any { return new(mmWorker) }}
 
-// accFor returns the worker's accumulator, reallocated only when want
-// distinct rows would exceed a 0.5 load factor — the same reuse policy as the
-// serial kernels.
+// getWorker takes a worker from the pool.
+func getWorker() *mmWorker { return workerPool.Get().(*mmWorker) }
+
+// putWorker returns w to the pool with its operand views dropped and its
+// output staging empty.
+func putWorker(w *mmWorker) {
+	w.releaseViews()
+	w.rows, w.vals = w.rows[:0], w.vals[:0]
+	workerPool.Put(w)
+}
+
+// outputTo copies the staged output into exact-size RowIdx and Val arrays
+// of c.
+func (w *mmWorker) outputTo(c *spmat.CSC) {
+	c.RowIdx = make([]int32, len(w.rows))
+	c.Val = make([]float64, len(w.vals))
+	copy(c.RowIdx, w.rows)
+	copy(c.Val, w.vals)
+}
+
+// accFor returns the worker's accumulator, reset for reuse and reallocated
+// only when want distinct rows would exceed a 0.5 load factor.
 func (w *mmWorker) accFor(want int64) *hashAccum {
 	if w.acc == nil || 2*want > int64(len(w.acc.rows)) {
 		w.acc = newHashAccum(want)
@@ -124,10 +150,9 @@ func runWorkers(bounds []int32, fn func(w *mmWorker, lo, hi int32)) {
 		wg.Add(1)
 		go func(lo, hi int32) {
 			defer wg.Done()
-			w := workerPool.Get().(*mmWorker)
+			w := getWorker()
 			fn(w, lo, hi)
-			w.releaseViews()
-			workerPool.Put(w)
+			putWorker(w)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -225,7 +250,7 @@ func ParallelSpGEMM(k Kernel, a, b *spmat.CSC, sr *semiring.Semiring, threads in
 				hashAccumulateColumn(acc, a, bRows, bVals, sr, plusTimes)
 				acc.drainAt(c.RowIdx[lo64:hi64], c.Val[lo64:hi64])
 				if k != KernelHashUnsorted {
-					sortColumnSlices(c.RowIdx[lo64:hi64], c.Val[lo64:hi64])
+					sortColumnSlices(c.RowIdx[lo64:hi64], c.Val[lo64:hi64], &w.sort)
 				}
 			}
 		}
@@ -421,7 +446,7 @@ func ParallelMerge(mg Merger, mats []*spmat.CSC, sr *semiring.Semiring, sortOutp
 			hashAccumulateMergeColumn(acc, mats, j, sr, plusTimes)
 			acc.drainAt(dstRows, dstVals)
 			if sortOutput {
-				sortColumnSlices(dstRows, dstVals)
+				sortColumnSlices(dstRows, dstVals, &w.sort)
 			}
 		}
 	})

@@ -1,6 +1,9 @@
 package localmm
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -101,6 +104,66 @@ func TestDCSCParallelKernelsRace(t *testing.T) {
 			}
 			if SymbolicMat(a, b, 4) != want.NNZ() {
 				t.Error("concurrent DCSC parallel symbolic diverged")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// identical reports whether two matrices match bit for bit: the same column
+// pointers, the same rows in the same order, and the same float64 bits.
+func identical(a, b *spmat.CSC) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || a.SortedCols != b.SortedCols ||
+		!slices.Equal(a.ColPtr, b.ColPtr) || !slices.Equal(a.RowIdx, b.RowIdx) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for p := range a.Val {
+		if math.Float64bits(a.Val[p]) != math.Float64bits(b.Val[p]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSerialKernelsPooledScratchRace runs many goroutines through the serial
+// hash kernels at once. Each call stages its output and sorts its columns in
+// a pooled worker's scratch, so a worker shared or returned too early would
+// corrupt another call's product; every product must equal the one computed
+// before the goroutines start, bit for bit.
+func TestSerialKernelsPooledScratchRace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("race workout skipped in -short mode")
+	}
+	sr := semiring.PlusTimes()
+	// Full-precision values, so a changed summation order shows too.
+	rng := rand.New(rand.NewSource(70))
+	a, b, c := randomMat(t, 200, 200, 3000, 71), randomMat(t, 200, 200, 3000, 72), randomMat(t, 200, 200, 2000, 73)
+	for _, m := range []*spmat.CSC{a, b, c} {
+		for p := range m.Val {
+			m.Val[p] = rng.NormFloat64()
+		}
+	}
+	prods := []*spmat.CSC{HashSpGEMM(a, b, sr), HashSpGEMM(b, c, sr), HashSpGEMM(c, a, sr)}
+	wantMul := []*spmat.CSC{prods[0], HashSpGEMMSorted(a, b, sr), HashSpGEMM(b, a, sr)}
+	wantMerge := []*spmat.CSC{HashMerge(prods, sr, false), HashMerge(prods, sr, true)}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; it < 2; it++ {
+				gotMul := []*spmat.CSC{HashSpGEMM(a, b, sr), HashSpGEMMSorted(a, b, sr), HashSpGEMM(b, a, sr)}
+				for i, got := range gotMul {
+					if !identical(got, wantMul[i]) {
+						t.Errorf("goroutine %d: multiply %d diverged from the serial run", g, i)
+					}
+				}
+				for i, sorted := range []bool{false, true} {
+					if got := HashMerge(prods, sr, sorted); !identical(got, wantMerge[i]) {
+						t.Errorf("goroutine %d: merge sorted=%v diverged from the serial run", g, sorted)
+					}
+				}
 			}
 		}()
 	}

@@ -114,17 +114,19 @@ func (m *CSC) Column(j int32) ([]int32, []float64) {
 	return m.RowIdx[lo:hi], m.Val[lo:hi]
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy whose entry arrays have no spare capacity.
 func (m *CSC) Clone() *CSC {
 	c := &CSC{
 		Rows:       m.Rows,
 		Cols:       m.Cols,
 		ColPtr:     append([]int64(nil), m.ColPtr...),
-		RowIdx:     append([]int32(nil), m.RowIdx...),
-		Val:        append([]float64(nil), m.Val...),
+		RowIdx:     make([]int32, len(m.RowIdx)),
+		Val:        make([]float64, len(m.Val)),
 		SortedCols: m.SortedCols,
 		neCache:    atomic.LoadInt64(&m.neCache),
 	}
+	copy(c.RowIdx, m.RowIdx)
+	copy(c.Val, m.Val)
 	return c
 }
 
