@@ -9,7 +9,7 @@ GO ?= go
 FUZZTIME ?= 30s
 GATE_TOL ?= 0.05
 
-.PHONY: all build test race vet doc bench bench-kernels bench-obs trace cover fuzz perfgate baseline plan kernelgate serve soak ci
+.PHONY: all build test race vet doc bench bench-kernels bench-obs trace cover fuzz perfgate baseline plan serve soak ci
 
 # all: the tier-1 gate (build + test), the default target.
 all: build test
@@ -23,15 +23,13 @@ test:
 	$(GO) test ./...
 
 # race: the packages that run goroutines (simulated ranks in mpi/core,
-# worker threads in localmm, concurrent jobs in service, the shared
-# kernel-table recalibration in costmodel) under the race detector, race
-# workouts included — the multithreaded kernels, the Pipeline=true broadcast
-# prefetch paths (TestPipelinedSUMMARace), the service concurrency workout
-# (N clients racing the plan cache and the admission scheduler), and the
-# concurrent Observe/Predict/Marshal workout on one kernel cost table are
-# exercised here.
+# worker threads in localmm, concurrent jobs in service) under the race
+# detector, race workouts included — the multithreaded kernels, the
+# Pipeline=true broadcast prefetch paths (TestPipelinedSUMMARace), and the
+# service concurrency workout (N clients racing the plan cache and the
+# admission scheduler) are exercised here.
 race:
-	$(GO) test -race ./internal/localmm ./internal/core ./internal/mpi ./internal/service ./internal/costmodel
+	$(GO) test -race ./internal/localmm ./internal/core ./internal/mpi ./internal/service
 
 # vet: static analysis over every package.
 vet:
@@ -112,21 +110,11 @@ soak:
 plan:
 	$(GO) run ./cmd/spgemm-bench -plangate -scale tiny
 
-# kernelgate: the kernel/merger-selection gate the nightly workflow
-# enforces. For every planner-gate shape, the planner's kernel and merger
-# picks are priced against an exhaustive option sweep over the *measured*
-# work aggregates of a real staged run (inverted from the meters, so the
-# oracle prices what actually happened, not a prediction of it), and the
-# target fails when a pick lands more than 10% above the sweep's best or a
-# pick-vs-defaults differential run is not bit-identical per rank.
-kernelgate:
-	$(GO) run ./cmd/spgemm-bench -kernelgate -scale tiny
-
 # bench-kernels: regenerate BENCH_kernels.json — the recorded thread sweep
 # of the unsorted-hash local multiply and the heap/hash/hybrid crossover
-# measurements on this runner. Wall-clock numbers; informational (the
-# checked-in snapshot documents the runner the defaults were sanity-checked
-# on), not a regression gate.
+# measurements on this runner. Wall-clock numbers; informational, not a
+# regression gate. The snapshot is the evidence for running the unsorted
+# hash kernel everywhere: it is fastest at every measured density.
 bench-kernels:
 	$(GO) test -run='^$$' -bench='HashSpGEMMParallel|KernelCrossover' -benchtime=0.5s ./internal/localmm \
 	| awk 'BEGIN{n=0} /^cpu:/{cpu=$$0; sub(/^cpu: */,"",cpu)} /^goos:/{goos=$$2} \

@@ -190,14 +190,6 @@ func BenchmarkMergeIncrementallyPerStage(b *testing.B) {
 
 // --- Ablation 4: block vs block-cyclic batch splitting (Sec. IV-B). ---
 
-func BenchmarkBatchSplitCyclic(b *testing.B) {
-	a := genmat.ProteinSimilarity(10, 8, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spmat.ColSplitCyclic(a, 8, a.Cols/(8*4))
-	}
-}
-
 func BenchmarkBatchSplitBlock(b *testing.B) {
 	a := genmat.ProteinSimilarity(10, 8, 10)
 	b.ResetTimer()

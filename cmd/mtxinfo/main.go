@@ -11,9 +11,8 @@
 // With -plan it runs the analytical autotuner for the self-product: the
 // ranked configurations (layers × batches × format × pipeline × overlap
 // channels) with their predicted per-step costs on the chosen machine model,
-// under the -mem budget, plus the kernel/merger selection per candidate —
-// which local-multiply kernel and merge strategy the cost table picks for
-// the candidate's column regimes, and the priced sweep it beat.
+// under the -mem budget. The local kernel is not part of the plan: every
+// configuration runs the paper's sort-free hash kernel and hash merge.
 //
 // With -plan -trace out.json it additionally renders the winning candidate's
 // predicted schedule as a Chrome trace-event timeline: one comm, compute,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/costmodel"
-	"repro/internal/localmm"
 	"repro/internal/mpi"
 	"repro/internal/planner"
 	"repro/internal/spmat"
@@ -79,9 +78,6 @@ func PlanInput(rc RunConfig, m costmodel.Machine) planner.Input {
 		// adds hiding capacity beyond what two independent broadcast
 		// streams can use, so k=2 saturates the model.
 		Channels: []int{1, 2},
-		// Price kernel picks against the run's (possibly recalibrated)
-		// table; nil falls back to the built-in coefficients.
-		Kernels: opts.Kernels,
 	}
 }
 
@@ -108,29 +104,6 @@ func ApplyChoice(rc RunConfig, ch planner.Choice) (RunConfig, error) {
 	rc.Opts.Pipeline = cfg.Pipeline
 	rc.Opts.SparseComm = cfg.SparseComm
 	rc.Opts.Channels = cfg.Channels
-	// Execute the plan-time kernel/merger picks when the choice carries
-	// them (older serialized choices don't — the configured defaults
-	// stay). A hybrid pick parses to localmm's per-column dispatch kernel,
-	// the execution of the planner's mixed-regime estimate. Explicit
-	// static picks turn the runtime auto selection off: the plan already
-	// decided, and re-deciding per stage would blur what the kernelsel
-	// gate audits.
-	if ch.Kernel != "" {
-		k, err := localmm.ParseKernel(ch.Kernel)
-		if err != nil {
-			return rc, fmt.Errorf("core: choice kernel: %w", err)
-		}
-		rc.Opts.Kernel = k
-		rc.Opts.AutoKernel = false
-	}
-	if ch.Merger != "" {
-		mg, err := localmm.ParseMerger(ch.Merger)
-		if err != nil {
-			return rc, fmt.Errorf("core: choice merger: %w", err)
-		}
-		rc.Opts.Merger = mg
-		rc.Opts.AutoMerger = false
-	}
 	return rc, nil
 }
 

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/costmodel"
 	"repro/internal/localmm"
+	"repro/internal/mpi"
 	"repro/internal/spmat"
 )
 
@@ -121,13 +121,17 @@ func TestChannelsPipelineHidesMoreNeverMoves(t *testing.T) {
 // equal to the default configuration — structure and float64 values bit for
 // bit. Full-precision operands make this a real claim: the heap paths
 // accumulate same-row contributions in operand order precisely so this
-// holds.
+// holds. The metered work units of the kernel and merge steps must also
+// equal those of the default kernel and merger under the same format and
+// schedule, so the modeled critical path never moves with the kernel knob.
 func TestKernelFormatMergerScheduleDifferential(t *testing.T) {
 	a := randomRealMat(t, 48, 48, 700, 83)
 	b := randomRealMat(t, 48, 48, 700, 84)
 	const p, l, batches = 8, 2, 2
 	ref, _, _ := runDistributed(t, p, l, a, b, Options{ForceBatches: batches}, nil)
 
+	// The defaults come first: their run is each format × schedule's
+	// work-unit reference.
 	kernels := []localmm.Kernel{
 		localmm.KernelHashUnsorted, localmm.KernelHashSorted,
 		localmm.KernelHeap, localmm.KernelHybrid,
@@ -143,49 +147,31 @@ func TestKernelFormatMergerScheduleDifferential(t *testing.T) {
 		{"pipelined", true, 0},
 		{"pipelined-k2", true, 2},
 	}
-	for _, kern := range kernels {
-		for _, f := range formats {
-			for _, mg := range mergers {
-				for _, sched := range schedules {
+	for _, f := range formats {
+		for _, sched := range schedules {
+			var base *mpi.Summary
+			for _, kern := range kernels {
+				for _, mg := range mergers {
 					name := fmt.Sprintf("%v/%v/%v/%s", kern, f, mg, sched.name)
-					got, _, _ := runDistributed(t, p, l, a, b, Options{
+					got, _, sum := runDistributed(t, p, l, a, b, Options{
 						ForceBatches: batches, Kernel: kern, Merger: mg, Format: f,
 						Pipeline: sched.pipeline, Channels: sched.channels,
 					}, nil)
 					if !spmat.Equal(ref, got) {
 						t.Errorf("%s: output differs from the default configuration", name)
 					}
+					if base == nil {
+						base = sum
+						continue
+					}
+					for _, step := range []string{StepLocalMult, StepMergeLayer, StepMergeFiber} {
+						if bw, gw := base.Step(step).WorkUnits, sum.Step(step).WorkUnits; bw != gw {
+							t.Errorf("%s: %s work units %d, default kernel and merger %d", name, step, gw, bw)
+						}
+					}
 				}
 			}
 		}
-	}
-}
-
-// TestAutoKernelSelectionBitIdenticalAndRecalibrates: the runtime auto
-// selection (AutoKernel/AutoMerger consulting a kernel table) must also be
-// bit-identical to the defaults, must leave the metered work units exactly
-// where the fixed kernels put them (the gate numbers never move with the
-// speed knob), and must feed every measured multiply and merge back into the
-// table.
-func TestAutoKernelSelectionBitIdenticalAndRecalibrates(t *testing.T) {
-	a := randomRealMat(t, 48, 48, 700, 85)
-	b := randomRealMat(t, 48, 48, 700, 86)
-	ref, _, refSum := runDistributed(t, 8, 2, a, b, Options{ForceBatches: 2}, nil)
-
-	table := costmodel.DefaultKernelTable()
-	got, _, gotSum := runDistributed(t, 8, 2, a, b, Options{
-		ForceBatches: 2, AutoKernel: true, AutoMerger: true, Kernels: table,
-	}, nil)
-	if !spmat.Equal(ref, got) {
-		t.Error("auto kernel/merger selection changed output values")
-	}
-	for _, step := range []string{StepLocalMult, StepMergeLayer, StepMergeFiber} {
-		if rw, gw := refSum.Step(step).WorkUnits, gotSum.Step(step).WorkUnits; rw != gw {
-			t.Errorf("%s: work units moved with the kernel knob: %d vs %d", step, rw, gw)
-		}
-	}
-	if n := table.Observations(); n == 0 {
-		t.Error("auto run recorded no kernel-table observations")
 	}
 }
 

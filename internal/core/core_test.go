@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/distmat"
 	"repro/internal/grid"
 	"repro/internal/localmm"
 	"repro/internal/mpi"
@@ -413,34 +412,6 @@ func TestGlobalColsPartitionOutput(t *testing.T) {
 		if n != 2 { // q = sqrt(16/4) = 2 row blocks
 			t.Errorf("column %d covered %d times, want 2", c, n)
 		}
-	}
-}
-
-func TestSetupLocalPath(t *testing.T) {
-	// SetupLocal must produce the same result as Setup when handed the same
-	// local pieces.
-	a := randomMat(t, 32, 32, 250, 93)
-	want := localmm.Multiply(a, a, semiring.PlusTimes())
-	results := make([]*Result, 4)
-	mpi.Run(4, testCM, func(c *mpi.Comm) {
-		g, _ := grid.New(c, 1)
-		da := distmat.NewADist(32, 32, g.Q, g.L)
-		db := distmat.NewBDist(32, 32, g.Q, g.L)
-		proc := SetupLocal(g, da, db, da.Local(a, g.I, g.J, g.K), db.Local(a, g.I, g.J, g.K),
-			Options{ForceBatches: 2})
-		res, err := proc.BatchedSUMMA3D(nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		results[c.Rank()] = res
-	})
-	got, err := AssembleResults(results, 32, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !spmat.Equal(got, want) {
-		t.Error("SetupLocal result differs")
 	}
 }
 

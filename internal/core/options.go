@@ -129,26 +129,17 @@ type Options struct {
 	// Semiring defaults to plus-times.
 	Semiring *semiring.Semiring
 	// Kernel is the Local-Multiply implementation (default: the paper's
-	// sort-free unsorted-hash kernel). Ignored when AutoKernel is set.
+	// sort-free unsorted-hash kernel). The others are explicit references
+	// for ablations and differential tests; every kernel produces
+	// bit-identical values and the same metered work units.
 	Kernel localmm.Kernel
 	// Merger is the Merge-Layer / Merge-Fiber implementation (default: the
-	// paper's sort-free hash merge). Ignored when AutoMerger is set.
+	// paper's sort-free hash merge).
 	Merger localmm.Merger
-	// AutoKernel selects the Local-Multiply kernel per (block, stage) at run
-	// time: each stage's exact flops and scanned columns are priced by the
-	// kernel cost table (Kernels, or the built-in defaults) and the cheaper
-	// of the heap and hash regimes runs. Every kernel produces bit-identical
-	// values, so the knob changes speed attribution only.
-	AutoKernel bool
-	// AutoMerger selects the merge strategy per merge the same way, from the
-	// merged-entry and scanned-column counts of each Merge-Layer/Merge-Fiber
-	// call.
-	AutoMerger bool
-	// Kernels is the kernel/merger cost table consulted by AutoKernel and
-	// AutoMerger and fed by every measured Local-Multiply and merge
-	// (costmodel.KernelTable.Observe — online recalibration). Nil uses the
-	// default coefficients and records nothing, keeping one-shot runs
-	// deterministic; spgemmd shares one table across jobs and persists it.
+	// Kernels is read by nothing.
+	//
+	// Deprecated: kernel selection is gone; every run uses Kernel and
+	// Merger. The field remains only so existing callers keep compiling.
 	Kernels *costmodel.KernelTable
 	// Channels is k, the number of modeled NIC channels the overlap ledger
 	// may hide split collectives behind: each measured compute second can

@@ -240,26 +240,6 @@ func TestNoHiddenWhenPipelineOff(t *testing.T) {
 	}
 }
 
-// TestRowBatchedPipelinedMatchesStaged: the transposed (row-batched) driver
-// inherits the fully-overlapped schedule through core.Multiply; its output
-// must also be independent of the schedule.
-func TestRowBatchedPipelinedMatchesStaged(t *testing.T) {
-	a := randomMat(t, 48, 48, 900, 78)
-	b := randomMat(t, 48, 48, 300, 79)
-	run := func(pipeline bool) *spmat.CSC {
-		rc := RunConfig{P: 8, L: 2, Cost: testCM,
-			Opts: Options{ForceBatches: 2, Pipeline: pipeline}}
-		out, _, err := MultiplyRowBatched(a, b, rc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	if !spmat.Equal(run(false), run(true)) {
-		t.Error("row-batched pipelined output differs from staged")
-	}
-}
-
 // TestStagedBcastMeteringMatchesBlockingReference: with Pipeline off the
 // rewritten stage loop (IbcastStart + immediate Wait) must meter its
 // broadcasts exactly like the pre-rewrite implementation, which called the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/costmodel"
 	"repro/internal/distmat"
 	"repro/internal/grid"
 	"repro/internal/localmm"
@@ -56,19 +55,6 @@ func Setup(g *grid.Grid3D, a, b *spmat.CSC, opts Options) (*Proc, error) {
 	p.LocalA = p.DA.LocalMat(a, g.I, g.J, g.K, opts.Format)
 	p.LocalB = p.DB.LocalMat(b, g.I, g.J, g.K, opts.Format)
 	return p, nil
-}
-
-// SetupLocal wires a Proc from already-local pieces (used when a pipeline
-// keeps matrices distributed between operations, e.g. Markov clustering
-// iterations). The descriptors must describe the same global shapes on the
-// same grid. The pieces are re-stored per opts.Format.
-func SetupLocal(g *grid.Grid3D, da *distmat.ADist, db *distmat.BDist, localA, localB spmat.Matrix, opts Options) *Proc {
-	opts = opts.withDefaults()
-	return &Proc{
-		G: g, Opts: opts, DA: da, DB: db,
-		LocalA: spmat.WithFormat(localA, opts.Format),
-		LocalB: spmat.WithFormat(localB, opts.Format),
-	}
 }
 
 // Result is one rank's output of BatchedSUMMA3D.
@@ -183,63 +169,21 @@ func AssembleResults(results []*Result, rows, cols int32) (*spmat.CSC, error) {
 	return c, nil
 }
 
-// stageKernel returns the Local-Multiply kernel for one stage. With
-// Opts.AutoKernel the kernel cost table prices the stage's exact flops and
-// scanned-column count and the cheaper of the heap and hash regimes runs
-// (per block and stage, as Azad et al. do per column bucket); otherwise the
-// configured kernel runs everywhere. Every kernel produces bit-identical
-// values, so the choice is a speed decision only.
-func (p *Proc) stageKernel(flops, scanCols int64) localmm.Kernel {
-	if !p.Opts.AutoKernel {
-		return p.Opts.Kernel
-	}
-	name, _ := p.Opts.Kernels.PickKernel(flops, scanCols)
-	if name == costmodel.KernelNameHeap {
-		return localmm.KernelHeap
-	}
-	return localmm.KernelHashUnsorted
-}
-
-// pickMerger returns the merge strategy for one merge of entries stored
-// nonzeros over scanCols scanned columns, per Opts.AutoMerger.
-func (p *Proc) pickMerger(entries, scanCols int64) localmm.Merger {
-	if !p.Opts.AutoMerger {
-		return p.Opts.Merger
-	}
-	name, _ := p.Opts.Kernels.PickMerger(entries, scanCols)
-	if name == costmodel.MergerNameHeap {
-		return localmm.MergerHeap
-	}
-	return localmm.MergerHash
-}
-
-// kernelAs returns the local-multiply function for kernel k, generic over the
+// multiply runs the configured Local-Multiply kernel, generic over the
 // storage format (localmm.MulMat dispatches to the CSC fast path when both
 // operands are CSC). Opts.Threads > 1 runs the two-phase parallel kernel;
 // the workers execute inside the caller's MeasureCompute token, so the
 // single-token gate still serializes ranks and intra-rank speedup shows up
 // as shorter measured compute time.
-func (p *Proc) kernelAs(k localmm.Kernel) func(a, b spmat.Matrix) spmat.Matrix {
-	sr, threads := p.Opts.Semiring, p.Opts.Threads
-	return func(a, b spmat.Matrix) spmat.Matrix {
-		return localmm.MulMat(k, a, b, sr, threads)
-	}
+func (p *Proc) multiply(a, b spmat.Matrix) spmat.Matrix {
+	return localmm.MulMat(p.Opts.Kernel, a, b, p.Opts.Semiring, p.Opts.Threads)
 }
 
-// mergeAs returns the merge function for merger mg, parallelized the same way
-// as kernelAs when Opts.Threads > 1 and format-generic like it (Merge-Fiber
-// can see mixed formats under the auto heuristic).
-func (p *Proc) mergeAs(mg localmm.Merger) func(mats []spmat.Matrix, sorted bool) spmat.Matrix {
-	sr, threads := p.Opts.Semiring, p.Opts.Threads
-	return func(mats []spmat.Matrix, sorted bool) spmat.Matrix {
-		return localmm.MergeMat(mg, mats, sr, sorted, threads)
-	}
-}
-
-// mergeFn returns the merge function of the statically configured merger
-// (call sites that pick per merge use pickMerger + mergeAs).
-func (p *Proc) mergeFn() func(mats []spmat.Matrix, sorted bool) spmat.Matrix {
-	return p.mergeAs(p.Opts.Merger)
+// merge runs the configured merger, parallelized the same way as multiply
+// when Opts.Threads > 1 and format-generic like it (Merge-Fiber can see
+// mixed formats under the auto heuristic).
+func (p *Proc) merge(mats []spmat.Matrix, sorted bool) spmat.Matrix {
+	return localmm.MergeMat(p.Opts.Merger, mats, p.Opts.Semiring, sorted, p.Opts.Threads)
 }
 
 // colScanWork is the column-metadata share of a block's modeled work: the

@@ -127,10 +127,7 @@ func (p *Proc) forEachStage(bBatch, bNextBatch spmat.Matrix, res *Result, consum
 		stageFlops := localmm.MatFlops(aRecv, bRecv)
 		res.LocalFlops += stageFlops
 
-		// Local multiply (Alg 1 line 7). The kernel is chosen per stage from
-		// the exact flops and scanned columns of this block pair when
-		// Opts.AutoKernel is set (stageKernel), and the measured seconds feed
-		// the recalibration table either way. Work units = flops plus the
+		// Local multiply (Alg 1 line 7). Work units = flops plus the
 		// operand traversal cost, so empty products still carry their
 		// column-scan work — the dense column count for CSC operands, only
 		// the stored columns for DCSC (the O(n)-per-block term the compressed
@@ -143,12 +140,10 @@ func (p *Proc) forEachStage(bBatch, bNextBatch spmat.Matrix, res *Result, consum
 		// paper's 16-threads-per-process configuration.
 		meter.SetCategory(StepLocalMult)
 		scanCols := colScanWork(bRecv)
-		kern := p.stageKernel(stageFlops, scanCols)
 		var prod spmat.Matrix
 		sec := p.measure(func() {
-			prod = p.kernelAs(kern)(aRecv, bRecv)
+			prod = p.multiply(aRecv, bRecv)
 		})
-		p.Opts.Kernels.Observe(kern.String(), stageFlops, scanCols, sec)
 		meter.AddComputeWork(sec, stageFlops+bRecv.NNZ()+scanCols+1)
 		consume(prod)
 	}
@@ -189,17 +184,13 @@ func (p *Proc) summa2D(bBatch, bNextBatch spmat.Matrix, res *Result) spmat.Matri
 	partial, unmerged := p.stageProducts(bBatch, bNextBatch, res)
 
 	// Merge-Layer (Alg 1 line 8). Output may stay unsorted: only the final
-	// Merge-Fiber output must be sorted (Sec. IV-D). The strategy is chosen
-	// per merge from the entry and scanned-column counts when Opts.AutoMerger
-	// is set, and the measured seconds recalibrate the table.
+	// Merge-Fiber output must be sorted (Sec. IV-D).
 	meter := p.G.World.Meter()
 	meter.SetCategory(StepMergeLayer)
-	mg := p.pickMerger(unmerged, colScanWork(bBatch))
 	var d spmat.Matrix
 	mergeSec := p.measure(func() {
-		d = p.mergeAs(mg)(partial, false)
+		d = p.merge(partial, false)
 	})
-	p.Opts.Kernels.Observe(mg.String(), unmerged, colScanWork(bBatch), mergeSec)
 	meter.AddComputeWork(mergeSec, unmerged+colScanWork(bBatch)+1)
 	res.MergedLayerNNZ += d.NNZ()
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+unmerged+d.NNZ())
@@ -226,12 +217,10 @@ func (p *Proc) summa2DIncremental(bBatch, bNextBatch spmat.Matrix, res *Result) 
 		work := acc.NNZ() + prod.NNZ()
 		p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+work)
 		pair := []spmat.Matrix{acc, prod}
-		mg := p.pickMerger(work, colScanWork(acc))
 		var merged spmat.Matrix
 		sec := p.measure(func() {
-			merged = p.mergeAs(mg)(pair, false)
+			merged = p.merge(pair, false)
 		})
-		p.Opts.Kernels.Observe(mg.String(), work, colScanWork(acc), sec)
 		meter.AddComputeWork(sec, work+1)
 		acc = merged
 	})
@@ -350,12 +339,10 @@ func (p *Proc) summa3DBatchOverlapped(t int, bBatch, bNextBatch spmat.Matrix, re
 		for _, piece := range perDest[m] {
 			in += piece.NNZ()
 		}
-		mg := p.pickMerger(in, colScanWork(perDest[m][0]))
 		var out spmat.Matrix
 		sec := p.measure(func() {
-			out = p.mergeAs(mg)(perDest[m], false)
+			out = p.merge(perDest[m], false)
 		})
-		p.Opts.Kernels.Observe(mg.String(), in, colScanWork(out), sec)
 		meter.AddComputeWork(sec, in+colScanWork(out)+1)
 		return out
 	}
@@ -415,25 +402,14 @@ func (p *Proc) mergeFiber(t int, rows int32, recv []mpi.Payload, res *Result) (s
 		mats = append(mats, m)
 		recvNNZ += m.NNZ()
 	}
-	mg := p.Opts.Merger
-	if len(mats) > 0 {
-		var scan int64
-		for _, m := range mats {
-			scan += colScanWork(m)
-		}
-		mg = p.pickMerger(recvNNZ, scan)
-	}
 	var c spmat.Matrix
 	fiberSec := p.measure(func() {
 		if len(mats) == 0 {
 			c = spmat.New(rows, 0)
 		} else {
-			c = p.mergeAs(mg)(mats, true)
+			c = p.merge(mats, true)
 		}
 	})
-	if len(mats) > 0 {
-		p.Opts.Kernels.Observe(mg.String(), recvNNZ, colScanWork(c), fiberSec)
-	}
 	meter.AddComputeWork(fiberSec, recvNNZ+colScanWork(c)+1)
 	p.trackPeak(res, p.LocalA.NNZ()+p.LocalB.NNZ()+recvNNZ+c.NNZ())
 	return c, p.bt.BatchLayerCols(t, g.K)

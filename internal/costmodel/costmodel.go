@@ -143,3 +143,16 @@ func (m Machine) ApplyScales(meters []*mpi.Meter) {
 		mt.ScaleComm(m.CommScale)
 	}
 }
+
+// KernelTable is empty and has no methods.
+//
+// Deprecated: the local kernel and merger are no longer selected by a cost
+// table; runs use core.Options.Kernel and Merger (default: the paper's
+// sort-free hash kernel and hash merge). The type remains only so existing
+// callers keep compiling.
+type KernelTable struct{}
+
+// DefaultKernelTable returns an empty table.
+//
+// Deprecated: see KernelTable.
+func DefaultKernelTable() *KernelTable { return &KernelTable{} }

@@ -137,28 +137,6 @@ func TestTableIIMoreLayersCheaperBcast(t *testing.T) {
 	}
 }
 
-func TestTableIII(t *testing.T) {
-	rows := TableIII(1024, 16, 1<<30)
-	if len(rows) != 3 {
-		t.Fatalf("want 3 rows")
-	}
-	fp := float64(int64(1<<30)) / 1024
-	if rows[0].TotalOps != fp {
-		t.Errorf("Local-Multiply=%v, want %v", rows[0].TotalOps, fp)
-	}
-	if rows[1].TotalOps != fp*6 { // lg(1024/16)=lg(64)=6
-		t.Errorf("Merge-Layer=%v, want %v", rows[1].TotalOps, fp*6)
-	}
-	if rows[2].TotalOps != fp*4 { // lg(16)=4
-		t.Errorf("Merge-Fiber=%v, want %v", rows[2].TotalOps, fp*4)
-	}
-	// Single layer: no fiber merge work.
-	rows1 := TableIII(1024, 1, 1<<30)
-	if rows1[2].TotalOps != 0 {
-		t.Errorf("Merge-Fiber with l=1 should be 0, got %v", rows1[2].TotalOps)
-	}
-}
-
 func TestScaledMultipliesBothConstants(t *testing.T) {
 	m := CoriKNL().Scaled(10)
 	base := CoriKNL()

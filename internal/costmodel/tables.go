@@ -79,27 +79,3 @@ func TableII(in TableIIInput) []TableIIRow {
 	}
 	return rows
 }
-
-// TableIIIRow is one computation step's predicted total work (in flops or
-// flop-equivalent merge operations) per process.
-type TableIIIRow struct {
-	Step string
-	// TotalOps is the "Total" row: the per-process operation count summed
-	// over all invocations.
-	TotalOps float64
-}
-
-// TableIII returns the three computation rows of Table III:
-//
-//	Local-Multiply: flops/p total.
-//	Merge-Layer:    flops/p · lg(p/l) total (heap form; the hash merge the
-//	                paper introduces removes the lg factor in practice).
-//	Merge-Fiber:    flops/p · lg(l) total.
-func TableIII(p, l int, flops int64) []TableIIIRow {
-	fp := float64(flops) / float64(p)
-	return []TableIIIRow{
-		{Step: "Local-Multiply", TotalOps: fp},
-		{Step: "Merge-Layer", TotalOps: fp * lgf(float64(p)/float64(l))},
-		{Step: "Merge-Fiber", TotalOps: fp * lgf(float64(l))},
-	}
-}

@@ -19,7 +19,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table2", "table3", "table5", "table6", "table7",
 		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"hypersparse", "kernelsel", "pipeline", "planner", "service", "sparsecomm", "spmm",
+		"hypersparse", "pipeline", "planner", "service", "sparsecomm", "spmm",
 	}
 	for _, id := range want {
 		if _, err := Get(id); err != nil {

@@ -189,10 +189,10 @@ func runFig15(opts RunOpts) (*Report, error) {
 		ps = []int{16, 64}
 	}
 	for _, p := range ps {
-		prev := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{
+		prev := runMul(a, a, p, l, opts.Machine, 0, 1, opts.armOpts(core.Options{
 			Kernel: localmm.KernelHeap, Merger: localmm.MergerHeap,
 		}))
-		now := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{
+		now := runMul(a, a, p, l, opts.Machine, 0, 1, opts.armOpts(core.Options{
 			Kernel: localmm.KernelHashUnsorted, Merger: localmm.MergerHash,
 		}))
 		if prev.Err != nil {

@@ -39,16 +39,20 @@ func (o RunOpts) coreOpts(c core.Options) core.Options {
 	if c.Merger == localmm.MergerHash {
 		c.Merger = o.Merger
 	}
-	if o.AutoKernel {
-		c.AutoKernel = true
-	}
-	if o.AutoMerger {
-		c.AutoMerger = true
-	}
 	if c.Channels == 0 {
 		c.Channels = o.Channels
 	}
 	return c
+}
+
+// armOpts is coreOpts for one arm of a kernel ablation (fig15, table7): the
+// arm's own kernel and merger always run. coreOpts reads the zero values
+// (the paper's hash kernel and hash merge) as "unset", so without the pin a
+// run-wide -kernel heap would turn the hash arm into a second heap arm.
+func (o RunOpts) armOpts(c core.Options) core.Options {
+	out := o.coreOpts(c)
+	out.Kernel, out.Merger = c.Kernel, c.Merger
+	return out
 }
 
 // runResult bundles what one distributed multiplication yields for plotting.

@@ -124,3 +124,32 @@ func TestWorkloadFlopsRegime(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationArmsKeepTheirKernels: every arm of the fig15 and table7
+// kernel ablations must run its own kernel and merger whatever the run-wide
+// -kernel/-merger knobs say, while the other run-wide knobs still apply.
+// The hash arm spells the paper's kernel and merge as the enum zero values,
+// which coreOpts reads as "unset": without the pin, -kernel heap -merger
+// heap turned it into a second heap arm.
+func TestAblationArmsKeepTheirKernels(t *testing.T) {
+	arms := []core.Options{
+		{Kernel: localmm.KernelHeap, Merger: localmm.MergerHeap},
+		{Kernel: localmm.KernelHybrid, Merger: localmm.MergerHeap},
+		{Kernel: localmm.KernelHashUnsorted, Merger: localmm.MergerHash},
+	}
+	kernels := []localmm.Kernel{localmm.KernelHashUnsorted, localmm.KernelHashSorted, localmm.KernelHeap, localmm.KernelHybrid}
+	for _, k := range kernels {
+		for _, mg := range []localmm.Merger{localmm.MergerHash, localmm.MergerHeap} {
+			o := RunOpts{Kernel: k, Merger: mg, Threads: 2}
+			for _, arm := range arms {
+				got := o.armOpts(arm)
+				if got.Kernel != arm.Kernel || got.Merger != arm.Merger {
+					t.Errorf("-kernel %v -merger %v: arm %v/%v ran %v/%v", k, mg, arm.Kernel, arm.Merger, got.Kernel, got.Merger)
+				}
+				if got.Threads != 2 {
+					t.Errorf("-kernel %v -merger %v: arm lost the run-wide thread count (%d)", k, mg, got.Threads)
+				}
+			}
+		}
+	}
+}

@@ -304,11 +304,11 @@ func runTable7(opts RunOpts) (*Report, error) {
 		"MergeFiber prev", "MergeFiber now")
 	var speedups []float64
 	for _, l := range []int{1, 4, 16} {
-		prev := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{
+		prev := runMul(a, a, p, l, opts.Machine, 0, 1, opts.armOpts(core.Options{
 			Kernel: localmm.KernelHybrid, Merger: localmm.MergerHeap,
 			Semiring: semiring.PlusTimes(),
 		}))
-		now := runMul(a, a, p, l, opts.Machine, 0, 1, opts.coreOpts(core.Options{
+		now := runMul(a, a, p, l, opts.Machine, 0, 1, opts.armOpts(core.Options{
 			Kernel: localmm.KernelHashUnsorted, Merger: localmm.MergerHash,
 			Semiring: semiring.PlusTimes(),
 		}))

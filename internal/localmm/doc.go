@@ -25,22 +25,21 @@
 // output column are distinct, so the sorted order — and every product — is
 // the same as any other sort's.
 //
-// # Kernel and merger selection
+// # Kernels and mergers
 //
 // The Kernel and Merger enums name every generation for callers
 // (ParseKernel/ParseMerger accept the CLI spellings; Kernel.Func and
-// Merger.Merge dispatch). Selection is speed attribution only: every
-// kernel × merger combination produces bit-identical output, including
-// float64 values. That guarantee is engineered, not incidental — the hash
-// paths accumulate each output entry in operand order, and the heap paths
-// order rowHeap by (row, operand list) so same-row contributions pop in
-// exactly that order; differential suites here, in core, and in the
-// kernelsel experiment hold every combination to exact equality through
-// full distributed runs. Which option is *fastest* for a block is the
-// costmodel.KernelTable's call (heap below ~64 flops/column, hash above,
-// hybrid on mixed columns), made at plan time by planner.Choice or per
-// block at run time via core.Options.AutoKernel/AutoMerger, with measured
-// times fed back into the table (online recalibration).
+// Merger.Merge dispatch). Distributed runs use the paper's unsorted hash
+// kernel and hash merge unless a caller pins another: BenchmarkKernelCrossover
+// (BENCH_kernels.json) measures unsorted hash fastest at every density from
+// 4 to 1024 flops per column, so nothing picks between them at run time.
+// The others stay as references for the Table VII and Fig 15 ablations.
+// Every kernel × merger combination produces bit-identical output,
+// including float64 values. That guarantee is engineered, not incidental —
+// the hash paths accumulate each output entry in operand order, and the
+// heap paths order rowHeap by (row, operand list) so same-row contributions
+// pop in exactly that order; differential suites here and in core hold every
+// combination to exact equality through full distributed runs.
 //
 // # Symbolic kernels
 //

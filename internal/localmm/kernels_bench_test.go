@@ -46,13 +46,13 @@ func BenchmarkHashSpGEMMParallel(b *testing.B) {
 }
 
 // BenchmarkKernelCrossover measures heap vs hash vs hybrid on both sides of
-// the *modeled* regime boundary (64 flops per column, costmodel.KernelTable
-// defaults, taken from the Azad et al. measurements the table encodes as its
-// prior). Where the real crossover sits on a given host depends on its
-// memory system — that gap is exactly what the table's online recalibration
-// absorbs — so this benchmark records the measured regime picture that
-// BENCH_kernels.json snapshots for the runner. Column degrees are uniform,
-// making flops/col = dA·dB exact.
+// the heap↔hash regime boundary Azad et al. (arXiv 1510.00844) report, about
+// 64 flops per column. Where the real crossover sits on a given host depends
+// on its memory system, so this benchmark records the measured regime
+// picture that BENCH_kernels.json snapshots for the runner. It is the
+// evidence for running the unsorted hash kernel everywhere: the snapshot
+// has it fastest at every density from 4 to 1024 flops per column. Column
+// degrees are uniform, making flops/col = dA·dB exact.
 func BenchmarkKernelCrossover(b *testing.B) {
 	sr := semiring.PlusTimes()
 	shapes := []struct {
@@ -61,9 +61,9 @@ func BenchmarkKernelCrossover(b *testing.B) {
 		rows     int32
 		flopsCol int
 	}{
-		{"hypersparse", 2, 2, 8192, 4}, // far below the modeled crossover
+		{"hypersparse", 2, 2, 8192, 4}, // far below the reported crossover
 		{"sparse", 4, 4, 4096, 16},     // below it
-		{"boundary", 8, 8, 2048, 64},   // at the modeled meeting point
+		{"boundary", 8, 8, 2048, 64},   // at the reported meeting point
 		{"dense", 32, 32, 1024, 1024},  // far above it
 	}
 	kernels := []Kernel{KernelHeap, KernelHashUnsorted, KernelHybrid}

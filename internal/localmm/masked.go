@@ -74,56 +74,3 @@ func MaskedSpGEMM(a, b, mask *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
 	}
 	return c
 }
-
-// SPASpGEMM multiplies A·B with a dense sparse-accumulator (SPA) per output
-// column — Gustavson's original formulation [20, 21]: a dense value array
-// plus an occupied-row list, both sized by the row dimension. It is the
-// classic baseline the hash and heap kernels are measured against: fastest
-// when output columns are dense relative to the row count, wasteful when
-// hypersparse. Output columns are unsorted (insertion order).
-func SPASpGEMM(a, b *spmat.CSC, sr *semiring.Semiring) *spmat.CSC {
-	checkMulShapes(a, b)
-	c := &spmat.CSC{
-		Rows:       a.Rows,
-		Cols:       b.Cols,
-		ColPtr:     make([]int64, b.Cols+1),
-		SortedCols: false,
-	}
-	plusTimes := sr.IsPlusTimes()
-	vals := make([]float64, a.Rows)
-	present := make([]bool, a.Rows)
-	occupied := make([]int32, 0, 256)
-	for j := int32(0); j < b.Cols; j++ {
-		occupied = occupied[:0]
-		bRows, bVals := b.Column(j)
-		for p := range bRows {
-			i, bv := bRows[p], bVals[p]
-			aRows, aVals := a.Column(i)
-			for q := range aRows {
-				r := aRows[q]
-				var prod float64
-				if plusTimes {
-					prod = aVals[q] * bv
-				} else {
-					prod = sr.Mul(aVals[q], bv)
-				}
-				if !present[r] {
-					present[r] = true
-					vals[r] = prod
-					occupied = append(occupied, r)
-				} else if plusTimes {
-					vals[r] += prod
-				} else {
-					vals[r] = sr.Add(vals[r], prod)
-				}
-			}
-		}
-		for _, r := range occupied {
-			c.RowIdx = append(c.RowIdx, r)
-			c.Val = append(c.Val, vals[r])
-			present[r] = false
-		}
-		c.ColPtr[j+1] = int64(len(c.RowIdx))
-	}
-	return c
-}

@@ -78,45 +78,6 @@ func TestMaskedProperty(t *testing.T) {
 	}
 }
 
-func TestSPAMatchesReference(t *testing.T) {
-	a := randomMat(t, 40, 35, 250, 84)
-	b := randomMat(t, 35, 42, 260, 85)
-	sr := semiring.PlusTimes()
-	want := Multiply(a, b, sr)
-	got := SPASpGEMM(a, b, sr)
-	if got.SortedCols {
-		t.Error("SPA output should report unsorted")
-	}
-	if !spmat.Equal(got, want) {
-		t.Error("SPA kernel differs from reference")
-	}
-}
-
-func TestSPAMinPlus(t *testing.T) {
-	a := randomMat(t, 20, 20, 100, 86)
-	sr := semiring.MinPlus()
-	want := HashSpGEMMSorted(a, a, sr)
-	if !spmat.Equal(SPASpGEMM(a, a, sr), want) {
-		t.Error("SPA min-plus differs")
-	}
-}
-
-func TestSPAEmpty(t *testing.T) {
-	got := SPASpGEMM(spmat.New(5, 5), spmat.New(5, 5), semiring.PlusTimes())
-	if got.NNZ() != 0 {
-		t.Error("empty SPA product has entries")
-	}
-}
-
-func BenchmarkKernelSPA(b *testing.B) {
-	a := randomMat(b, 1024, 1024, 20000, 87)
-	sr := semiring.PlusTimes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SPASpGEMM(a, a, sr)
-	}
-}
-
 func BenchmarkMaskedVsUnmasked(b *testing.B) {
 	a := randomMat(b, 1024, 1024, 20000, 88)
 	mask := randomMat(b, 1024, 1024, 5000, 89)

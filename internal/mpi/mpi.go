@@ -127,7 +127,6 @@ type commCore struct {
 	matrix     []any
 	matrixOnce sync.Once
 	i64buf     []int64
-	f64buf     []float64
 	childMu    sync.Mutex
 	childs     map[splitKey]*commCore
 }
@@ -143,7 +142,6 @@ func newCommCore(size int) *commCore {
 		bar:    newBarrier(size),
 		slots:  make([]any, size),
 		i64buf: make([]int64, size),
-		f64buf: make([]float64, size),
 		childs: make(map[splitKey]*commCore),
 	}
 }
@@ -269,30 +267,6 @@ func (c *Comm) AllreduceInt64(v int64, op ReduceOp) int64 {
 	c.Barrier()
 	out := c.core.i64buf[0]
 	for _, x := range c.core.i64buf[1:c.size] {
-		switch op {
-		case OpSum:
-			out += x
-		case OpMax:
-			if x > out {
-				out = x
-			}
-		case OpMin:
-			if x < out {
-				out = x
-			}
-		}
-	}
-	c.Barrier()
-	c.meter.addComm(1, 8, c.cost.AllreduceCost(c.size, 8))
-	return out
-}
-
-// AllreduceFloat64 reduces one float64 per rank with op.
-func (c *Comm) AllreduceFloat64(v float64, op ReduceOp) float64 {
-	c.core.f64buf[c.rank] = v
-	c.Barrier()
-	out := c.core.f64buf[0]
-	for _, x := range c.core.f64buf[1:c.size] {
 		switch op {
 		case OpSum:
 			out += x

@@ -29,11 +29,6 @@ type Choice struct {
 	// single-injection ledger; only k ≥ 2 is ever recorded, so choices
 	// from older plans round-trip unchanged).
 	Channels int `json:"channels,omitempty"`
-	// Kernel and Merger are the plan-time selected Local-Multiply kernel
-	// and merge strategy spellings. Empty on choices serialized by older
-	// builds — execution then keeps the configured defaults.
-	Kernel string `json:"kernel,omitempty"`
-	Merger string `json:"merger,omitempty"`
 	// ModelSeconds is the configuration's predicted modeled critical path —
 	// the planner's ranking objective.
 	ModelSeconds float64 `json:"model_seconds"`
@@ -51,8 +46,6 @@ func (c *Candidate) Choice() Choice {
 		Pipeline:            c.Pipeline,
 		SparseComm:          c.SparseComm.String(),
 		Channels:            c.Channels,
-		Kernel:              c.Kernel,
-		Merger:              c.Merger,
 		ModelSeconds:        c.ModelSeconds,
 		PeakMemBytesPerRank: c.PeakMemBytesPerRank,
 	}
@@ -73,21 +66,13 @@ func (ch Choice) Config() (Config, error) {
 	return Config{L: ch.L, B: ch.B, Format: f, Pipeline: ch.Pipeline, SparseComm: sm, Channels: ch.Channels}, nil
 }
 
-// String renders the choice the way Config does, plus the kernel pick and
-// the score.
+// String renders the choice the way Config does, plus the score.
 func (ch Choice) String() string {
 	cfg, err := ch.Config()
 	if err != nil {
 		return fmt.Sprintf("invalid choice: %v", err)
 	}
-	s := cfg.String()
-	if ch.Kernel != "" {
-		s += " kernel=" + ch.Kernel
-	}
-	if ch.Merger != "" {
-		s += " merger=" + ch.Merger
-	}
-	return fmt.Sprintf("%s (model %.3gs, peak %dB/rank)", s, ch.ModelSeconds, ch.PeakMemBytesPerRank)
+	return fmt.Sprintf("%s (model %.3gs, peak %dB/rank)", cfg.String(), ch.ModelSeconds, ch.PeakMemBytesPerRank)
 }
 
 // CacheKey renders a deterministic key for a planning decision: the operand
@@ -122,10 +107,6 @@ func CacheKey(fpA, fpB string, in Input) string {
 		}
 		b.WriteString(sm.String())
 	}
-	// The channel axis and the kernel-table coefficients both shape the
-	// decision: a recalibrated table must not serve picks cached under the
-	// old constants, so the table's fingerprint is part of the key (nil-safe
-	// — a nil table fingerprints its defaults).
-	fmt.Fprintf(&b, "|ch=%v|kt=%s", in.Channels, in.Kernels.Fingerprint())
+	fmt.Fprintf(&b, "|ch=%v", in.Channels)
 	return b.String()
 }

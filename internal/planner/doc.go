@@ -13,20 +13,10 @@
 // Merge-Fiber). The result is a ranked Plan with a per-step cost breakdown
 // and a human-readable "why" report.
 //
-// Each candidate additionally carries a kernel/merger selection: its
-// predicted multiply and merge aggregates are priced under the
-// costmodel.KernelTable (Input.Kernels; nil uses the default coefficients)
-// for every local kernel and merge strategy, with the hybrid kernel priced
-// per sampled column — on block-level aggregates it can never beat the
-// better pure kernel, its advantage is per-column regime mixing. The
-// winners land in Choice.Kernel/Choice.Merger and core.ApplyChoice pins
-// them into the run options. Selection never moves ModelSeconds or the
-// ranking — kernels don't change what is communicated or computed, only
-// how fast the compute runs — and the table's fingerprint is part of
-// CacheKey, so cached choices are invalidated when recalibration moves the
-// coefficients. The kernelsel experiment (and `spgemm-bench -kernelgate`)
-// scores the picks against an exhaustive option sweep over the measured
-// aggregates of a real run.
+// The local kernel and merger are not planned: every kernel meters the same
+// work units, so they never move ModelSeconds or the ranking, and the
+// runtime runs the paper's sort-free hash kernel and hash merge unless the
+// caller pins another in core.Options.
 //
 // The predictors deliberately mirror the metered simulation rather than the
 // paper's closed forms: communication uses the exact wire-size formula

@@ -97,24 +97,6 @@ type Candidate struct {
 	Feasible bool
 	// Note carries the infeasibility reason, if any.
 	Note string
-	// Kernel and Merger name the plan-time selected Local-Multiply kernel
-	// and merge strategy (the localmm flag spellings): the cheapest option
-	// when the kernel cost table prices this candidate's exact flop and
-	// scanned-column aggregates. They never move ModelSeconds — metered
-	// work units are deliberately kernel-independent, so the speed knob
-	// can't shift the perf gate — but ApplyChoice executes them.
-	Kernel, Merger string
-	// KernelSeconds and MergerSeconds hold every option's predicted wall
-	// seconds (the exhaustive sweep the kernelsel gate audits the pick
-	// against). The hybrid entry is the sampled per-column estimate: each
-	// sampled column priced at the better of the heap and hash regimes for
-	// its own flops-per-scan, plus the dispatch overhead.
-	KernelSeconds, MergerSeconds map[string]float64
-	// RegimeHeapCols and RegimeHashCols count the sampled B columns whose
-	// flops-per-scan fall in the heap-favored (sparse) and hash-favored
-	// (dense) regimes under the table's crossover — the per-block-regime
-	// summary mtxinfo -plan reports.
-	RegimeHeapCols, RegimeHashCols int
 }
 
 // Step returns the named step's cost (zero value if absent).
@@ -404,13 +386,6 @@ func (pl *Plan) predict(gs *gridStat, format spmat.Format, forceB int, sparse mp
 		cand.WorkUnits += s.WorkUnits
 	}
 	cand.ModelSeconds = cand.CommSeconds + float64(cand.WorkUnits)*in.SecPerWork
-
-	// Kernel and merger selection over the candidate's exact aggregates
-	// (speed attribution only — never part of ModelSeconds): multiplies
-	// scan each received piece on q ranks, merges scan the layer pieces
-	// once plus the fiber pieces.
-	pl.selectKernels(&cand, q64*colScanPieces,
-		int64(unmergedQL)+int64(unmergedL), colScanPieces+fiberScan)
 
 	// Peak memory under the runtime's flat accounting: inputs plus the
 	// unmerged stage products plus the merged layer output per batch, on

@@ -64,26 +64,6 @@ func (pl *Plan) Report() string {
 			s.Step, s.CommSeconds, s.HiddenSeconds, float64(s.WorkUnits)/1e6)
 	}
 
-	if best.Kernel != "" {
-		sb.WriteString("\nkernel selection (cost-table pricing of the chosen configuration's aggregates; speed only, never the ranking):\n")
-		writeSweep := func(label, pick string, names []string, sweep map[string]float64) {
-			for _, name := range names {
-				mark := ""
-				if name == pick {
-					mark = "  ← chosen"
-				}
-				fmt.Fprintf(&sb, "  %-8s %-16s %12.4g s%s\n", label, name, sweep[name], mark)
-				label = ""
-			}
-		}
-		writeSweep("kernel", best.Kernel, kernelNames, best.KernelSeconds)
-		writeSweep("merger", best.Merger, mergerNames, best.MergerSeconds)
-		if n := best.RegimeHeapCols + best.RegimeHashCols; n > 0 {
-			fmt.Fprintf(&sb, "  column regimes (of %d sampled): %d heap-favored (sparse columns), %d hash-favored (dense columns)\n",
-				n, best.RegimeHeapCols, best.RegimeHashCols)
-		}
-	}
-
 	sb.WriteString("\nwhy:\n")
 	for _, why := range pl.whyLines(best) {
 		sb.WriteString("  - " + why + "\n")

@@ -154,7 +154,6 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	counter("spgemmd_probes_total", "Planner probe+sweep executions.", float64(st.Probes))
 
 	gauge("spgemmd_resident_matrices", "Matrices in the registry.", float64(st.Matrices))
-	counter("spgemmd_kernel_observations_total", "Measured kernel timings fed to the cost table.", float64(st.KernelObservations))
 	counter("spgemmd_traces_captured_total", "Per-job span traces captured.", float64(st.TracesCaptured))
 	gauge("spgemmd_ranks", "Simulated rank count per job.", float64(st.P))
 

@@ -388,69 +388,3 @@ func TestMultiplySemiring(t *testing.T) {
 		t.Fatalf("unknown semiring must error")
 	}
 }
-
-// TestSharedKernelTableRecalibratesWithoutKeyChurn is the daemon-level race
-// workout for the shared cost table: concurrent jobs all observe their
-// measured kernel times into one table (run under -race) while planning
-// prices against the boot-time snapshot — so recalibration accumulates, the
-// /stats counters move, and yet repeat plans stay pure cache hits with a
-// stable fingerprint.
-func TestSharedKernelTableRecalibratesWithoutKeyChurn(t *testing.T) {
-	a := genmat.RMAT(genmat.RMATConfig{Scale: 6, EdgeFactor: 8, Seed: 5, Weighted: true})
-	table := costmodel.DefaultKernelTable()
-	cfg := testConfig(t, a)
-	cfg.Kernels = table
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Load("a", a); err != nil {
-		t.Fatal(err)
-	}
-	fpBoot := s.planKT.Fingerprint()
-	if _, err := s.Multiply(MultiplyRequest{A: "a", B: "a"}); err != nil {
-		t.Fatal(err)
-	}
-
-	const clients = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < 2; i++ {
-				res, err := s.Multiply(MultiplyRequest{A: "a", B: "a"})
-				if err != nil {
-					errs <- fmt.Errorf("client %d: %w", c, err)
-					return
-				}
-				if !res.Plan.CacheHit {
-					errs <- fmt.Errorf("client %d: plan-cache miss while the live table recalibrated", c)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	st := s.Stats()
-	if st.KernelObservations == 0 {
-		t.Error("concurrent jobs fed no observations into the shared table")
-	}
-	if st.KernelObservations != table.Observations() {
-		t.Errorf("stats report %d observations, table holds %d", st.KernelObservations, table.Observations())
-	}
-	if st.Probes != 1 {
-		t.Errorf("probe work after warmup: %d probes", st.Probes)
-	}
-	// The live table's fingerprint may move with recalibration; the plan
-	// snapshot's must not, and it is what keys the cache.
-	if got := s.planKT.Fingerprint(); got != fpBoot {
-		t.Errorf("plan snapshot fingerprint moved: %s -> %s", fpBoot, got)
-	}
-}

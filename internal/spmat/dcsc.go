@@ -80,14 +80,6 @@ func (d *DCSC) Column(j int32) ([]int32, []float64) {
 	return d.IR[lo:hi], d.Num[lo:hi]
 }
 
-// ColumnAt returns the p-th stored column: its global index and views of its
-// rows and values. Positional access is O(1) — the iteration primitive the
-// hypersparse kernels build on.
-func (d *DCSC) ColumnAt(p int) (j int32, rows []int32, vals []float64) {
-	lo, hi := d.CP[p], d.CP[p+1]
-	return d.JC[p], d.IR[lo:hi], d.Num[lo:hi]
-}
-
 // DCSCCursor is a positional column cursor: a stateful alternative to the
 // per-call binary search of Column/ColNNZ for access patterns that are
 // mostly ascending — exactly the A-side lookups of the generic SpGEMM inner

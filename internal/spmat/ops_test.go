@@ -239,21 +239,6 @@ func TestCyclicColsPartition(t *testing.T) {
 	}
 }
 
-func TestConcatCyclicInvertsSplit(t *testing.T) {
-	for _, cols := range []int32{16, 17, 31} {
-		for _, parts := range []int{1, 2, 4} {
-			for _, block := range []int32{1, 2, 3} {
-				m := randomCSC(t, 12, cols, 0.3, int64(cols)*100+int64(parts)*10+int64(block))
-				pieces := ColSplitCyclic(m, parts, block)
-				back := ConcatCyclic(pieces, cols, block)
-				if !Equal(m, back) {
-					t.Fatalf("ConcatCyclic(ColSplitCyclic) not identity for cols=%d parts=%d block=%d", cols, parts, block)
-				}
-			}
-		}
-	}
-}
-
 // Property: ColSplit then HCat is identity for random shapes.
 func TestSplitConcatProperty(t *testing.T) {
 	f := func(seed int64) bool {
